@@ -4,8 +4,9 @@ use crate::error::CoreError;
 use crate::job::{Job, JobId};
 use crate::time::Time;
 
-/// An immutable, validated collection of jobs forming the job part of an
-/// input instance `I` (§II-A).
+/// A validated collection of jobs forming the job part of an input
+/// instance `I` (§II-A), immutable except for the append-only
+/// [`JobSet::push`].
 ///
 /// Jobs are stored indexed by [`JobId`] (dense ids `0..n`) and the set also
 /// keeps a release-ordered index for simulators.
@@ -49,6 +50,41 @@ impl JobSet {
             .map(|(i, &(r, d, p, v))| Job::new(JobId(i as u64), Time::new(r), Time::new(d), p, v))
             .collect::<Result<Vec<_>, _>>()?;
         JobSet::new(jobs)
+    }
+
+    /// Appends one job in O(1): the streaming admission service grows its
+    /// job set one arrival at a time without rebuilding it.
+    ///
+    /// # Errors
+    /// [`CoreError::DuplicateJob`] / [`CoreError::UnknownJob`] if `job.id` is
+    /// not the next dense id `len()`, and [`CoreError::InvalidParameter`] if
+    /// its release precedes the latest release already in the set (the
+    /// release index stays sorted without a re-sort).
+    pub fn push(&mut self, job: Job) -> Result<(), CoreError> {
+        let next = self.jobs.len();
+        if job.id.index() < next {
+            return Err(CoreError::DuplicateJob { id: job.id.0 });
+        }
+        if job.id.index() > next {
+            return Err(CoreError::UnknownJob { id: next as u64 });
+        }
+        if let Some(&last) = self.by_release.last() {
+            let last = self.get(last).release;
+            if job.release < last {
+                return Err(CoreError::InvalidParameter {
+                    name: "release".to_string(),
+                    value: job.release.as_f64(),
+                    reason: format!(
+                        "job {} precedes the latest release {} in the set",
+                        job.id.0,
+                        last.as_f64()
+                    ),
+                });
+            }
+        }
+        self.by_release.push(job.id);
+        self.jobs.push(job);
+        Ok(())
     }
 
     /// Number of jobs.
@@ -233,6 +269,65 @@ mod tests {
         let s = JobSet::new(vec![j(2, 30.0), j(0, 10.0), j(1, 20.0)]).unwrap();
         assert_eq!(s.get(JobId(0)).value, 10.0);
         assert_eq!(s.get(JobId(2)).value, 30.0);
+    }
+
+    #[test]
+    fn push_rejects_a_non_dense_id() {
+        let j = |id, r| Job::new(JobId(id), Time::new(r), Time::new(r + 1.0), 1.0, 1.0).unwrap();
+        let mut s = JobSet::new(vec![j(0, 0.0)]).unwrap();
+        assert!(matches!(
+            s.push(j(0, 1.0)),
+            Err(CoreError::DuplicateJob { id: 0 })
+        ));
+        assert!(matches!(
+            s.push(j(2, 1.0)),
+            Err(CoreError::UnknownJob { id: 1 })
+        ));
+        assert_eq!(s.len(), 1, "a rejected push leaves the set unchanged");
+        s.push(j(1, 1.0)).unwrap();
+        assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn push_rejects_a_release_before_the_last_one() {
+        let j = |id, r| Job::new(JobId(id), Time::new(r), Time::new(r + 1.0), 1.0, 1.0).unwrap();
+        // Built out of release order: the latest release is job 0's.
+        let mut s = JobSet::new(vec![j(0, 3.0), j(1, 2.0)]).unwrap();
+        assert!(matches!(
+            s.push(j(2, 2.5)),
+            Err(CoreError::InvalidParameter { ref name, .. }) if name == "release"
+        ));
+        assert_eq!(s.len(), 2);
+        s.push(j(2, 3.0)).unwrap();
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn co_timed_pushes_keep_id_order() {
+        let j = |id, r| Job::new(JobId(id), Time::new(r), Time::new(r + 1.0), 1.0, 1.0).unwrap();
+        let mut s = JobSet::new(vec![]).unwrap();
+        for (id, r) in [(0, 1.0), (1, 1.0), (2, 2.0), (3, 2.0), (4, 2.0)] {
+            s.push(j(id, r)).unwrap();
+        }
+        let order: Vec<u64> = s.iter_by_release().map(|j| j.id.0).collect();
+        assert_eq!(order, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn repeated_push_equals_new() {
+        let tuples = [
+            (0.0, 4.0, 1.0, 3.0),
+            (0.0, 5.0, 2.0, 1.0),
+            (1.5, 9.0, 4.0, 8.0),
+            (2.0, 6.0, 2.0, 2.0),
+            (2.0, 7.0, 1.0, 5.0),
+        ];
+        let built = JobSet::from_tuples(&tuples).unwrap();
+        let mut pushed = JobSet::new(vec![]).unwrap();
+        for job in built.iter() {
+            pushed.push(job.clone()).unwrap();
+        }
+        assert_eq!(pushed, built);
     }
 
     #[test]

@@ -11,19 +11,28 @@
 //! harnesses plug in [`MemJournal`], which is deterministic, inspectable
 //! and can inject write failures at chosen points.
 //!
-//! The journal discipline is classic WAL: the service appends the record of
-//! an arrival or decision and calls [`JournalSink::sync`] *before* applying
-//! its effects to the kernel, so after a crash the journal is always ahead
-//! of (or equal to) the applied state, never behind. [`RetryingJournal`]
-//! wraps any sink with a bounded, clock-free retry budget and converts
-//! exhausted budgets into [`CoreError::JournalWrite`] — the streaming
-//! service's backpressure/abort path picks it up from there.
+//! The journal discipline is classic WAL with one sync per arrival: the
+//! service appends an arrival's record, decides, appends the decision's
+//! record and calls [`JournalSink::sync`] once — *before* applying any
+//! effect to the kernel. A decision counts as made only once that sync
+//! returns, so after a crash the journal is always ahead of (or equal to)
+//! the applied state, never behind; an arrival whose sync never completed
+//! is replayed and decided afresh. Appends are buffered ([`FileJournal`]
+//! holds them in memory until `sync`). [`RetryingJournal`] wraps any sink
+//! with a bounded, clock-free retry budget and converts exhausted budgets
+//! into [`CoreError::JournalWrite`] — the streaming service's
+//! backpressure/abort path picks it up from there.
 
 use cloudsched_core::CoreError;
 use std::io::{self, Write};
 
 /// An append-only, sync-able line sink — the durability seam of the
 /// streaming service's write-ahead journal.
+///
+/// The service syncs once per arrival, after appending both the arrival
+/// and its decision: a record is durable only once a later
+/// [`JournalSink::sync`] has returned, and nothing appended after the last
+/// successful sync may be relied on after a crash.
 pub trait JournalSink {
     /// Appends one record (without trailing newline; the sink adds it).
     /// Buffered: durability is only guaranteed after [`JournalSink::sync`].
@@ -46,16 +55,22 @@ impl<J: JournalSink + ?Sized> JournalSink for &mut J {
 /// A journal backed by a real file. **The single sanctioned `std::fs` site
 /// in the deterministic core** (see the module docs); everything else must
 /// stay behind [`JournalSink`].
+///
+/// Appends go to an in-memory buffer; [`JournalSink::sync`] writes the
+/// buffer out and then calls `sync_data`, so records between syncs reach
+/// the OS together. Dropping the journal writes any unsynced tail out
+/// without syncing it and ignores write errors there; only `sync`
+/// reports them.
 #[derive(Debug)]
 pub struct FileJournal {
-    file: std::fs::File,
+    file: io::BufWriter<std::fs::File>,
 }
 
 impl FileJournal {
     /// Creates (truncating) a journal file at `path`.
     pub fn create(path: &std::path::Path) -> io::Result<Self> {
         Ok(FileJournal {
-            file: std::fs::File::create(path)?,
+            file: io::BufWriter::new(std::fs::File::create(path)?),
         })
     }
 
@@ -63,7 +78,7 @@ impl FileJournal {
     /// journal of the crashed run rather than starting a new one).
     pub fn open_append(path: &std::path::Path) -> io::Result<Self> {
         Ok(FileJournal {
-            file: std::fs::OpenOptions::new().append(true).open(path)?,
+            file: io::BufWriter::new(std::fs::OpenOptions::new().append(true).open(path)?),
         })
     }
 }
@@ -75,7 +90,8 @@ impl JournalSink for FileJournal {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()
+        self.file.flush()?;
+        self.file.get_ref().sync_data()
     }
 }
 
@@ -207,8 +223,9 @@ impl<J: JournalSink> RetryingJournal<J> {
         self.retry(|j| j.sync())
     }
 
-    /// The WAL primitive: append `line` and make it durable, retrying each
-    /// step. Callers apply the record's effects only after this returns.
+    /// The WAL primitive: append `line` and make it — and every record
+    /// appended before it — durable, retrying each step. Callers apply the
+    /// records' effects only after this returns.
     pub fn commit(&mut self, line: &str) -> Result<(), CoreError> {
         self.append(line)?;
         self.sync()

@@ -17,10 +17,12 @@
 //! One JSONL file, two line classes distinguished by their first key:
 //!
 //! * **Service records** start `{"svc":` — the WAL proper. `open` (the
-//!   run's configuration), `arrival` (one job's parameters, committed
-//!   *before* any of its effects apply), `decision` (the admission
-//!   verdict, committed before the verdict's effects apply) and
-//!   `snapshot` (a [`crate::snapshot`] blob at a quiescent point).
+//!   run's configuration), `arrival` (one job's parameters), `decision`
+//!   (the admission verdict) and `snapshot` (a [`crate::snapshot`] blob at
+//!   a quiescent point). An arrival and its decision are appended in that
+//!   order and made durable by one sync *before* any of their effects
+//!   apply; a decision counts as made only once that sync returns. An
+//!   arrival whose sync never completed is replayed and decided afresh.
 //! * **Trace events** start `{"t":` — the byte-stable
 //!   [`TraceEvent`] JSONL codec from `cloudsched-obs`, appended in
 //!   emission order. On recovery, trace lines *before* the last snapshot
@@ -58,7 +60,6 @@ use crate::workspace::SimWorkspace;
 use cloudsched_capacity::CapacityProfile;
 use cloudsched_core::{CoreError, Job, JobId, JobSet, Time};
 use cloudsched_obs::{FaultKind, JournalSink, RetryingJournal, TraceEvent, Tracer};
-use std::collections::BTreeMap;
 
 /// Tunables of one service run. `c_lo` / `c_hi` are not here — they come
 /// from the capacity profile's declared bounds.
@@ -291,38 +292,56 @@ fn corrupt(line: usize, reason: impl Into<String>) -> CoreError {
 /// Parses an admission stream: one flat JSON object per line,
 /// `{"r":R,"d":D,"p":P,"v":V}`. Blank lines are skipped.
 pub fn parse_stream(text: &str) -> Result<Vec<Arrival>, CoreError> {
-    let mut out = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fields = flat_fields(line, i + 1)?;
-        let get = |key: &str| -> Result<f64, CoreError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .ok_or_else(|| corrupt(i + 1, format!("arrival is missing key {key:?}")))?
-                .1
-                .parse::<f64>()
-                .ok()
-                .filter(|v| !v.is_nan())
-                .ok_or_else(|| corrupt(i + 1, format!("arrival key {key:?} is not a number")))
-        };
-        out.push(Arrival {
-            release: get("r")?,
-            deadline: get("d")?,
-            workload: get("p")?,
-            value: get("v")?,
-        });
-    }
-    Ok(out)
+    numbered_lines(text)
+        .map(|(lineno, line)| arrival_from(&flat_fields(line, lineno)?, lineno))
+        .collect()
+}
+
+/// The non-blank lines of a text with their 1-based line numbers, trimmed.
+fn numbered_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .enumerate()
+        .map(|(i, raw)| (i + 1, raw.trim()))
+        .filter(|(_, line)| !line.is_empty())
+}
+
+/// The raw value of `key` in a flat record; `what` names the record in
+/// the error.
+fn field<'l>(
+    fields: &[(&str, &'l str)],
+    key: &str,
+    lineno: usize,
+    what: &str,
+) -> Result<&'l str, CoreError> {
+    fields
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map(|(_, v)| *v)
+        .ok_or_else(|| corrupt(lineno, format!("{what} is missing key {key:?}")))
+}
+
+/// The `r`, `d`, `p`, `v` keys of an admission-stream line or a journal
+/// `arrival` record.
+fn arrival_from(fields: &[(&str, &str)], lineno: usize) -> Result<Arrival, CoreError> {
+    let get = |key: &str| -> Result<f64, CoreError> {
+        field(fields, key, lineno, "arrival")?
+            .parse::<f64>()
+            .ok()
+            .filter(|v| !v.is_nan())
+            .ok_or_else(|| corrupt(lineno, format!("arrival key {key:?} is not a number")))
+    };
+    Ok(Arrival {
+        release: get("r")?,
+        deadline: get("d")?,
+        workload: get("p")?,
+        value: get("v")?,
+    })
 }
 
 /// Splits a one-level JSON object into `(key, raw value)` pairs. Values
 /// must not contain commas or colons (snapshot blobs, which do, are
 /// extracted before this runs).
-fn flat_fields(line: &str, lineno: usize) -> Result<Vec<(String, String)>, CoreError> {
+fn flat_fields(line: &str, lineno: usize) -> Result<Vec<(&str, &str)>, CoreError> {
     let inner = line
         .strip_prefix('{')
         .and_then(|s| s.strip_suffix('}'))
@@ -337,7 +356,7 @@ fn flat_fields(line: &str, lineno: usize) -> Result<Vec<(String, String)>, CoreE
         if key.is_empty() {
             return Err(corrupt(lineno, "record has an empty key"));
         }
-        out.push((key.to_string(), value.to_string()));
+        out.push((key, value));
     }
     Ok(out)
 }
@@ -446,8 +465,11 @@ struct Core<'a, P: CapacityProfile> {
     capacity: &'a P,
     cfg: &'a ServiceConfig,
     c_lo: f64,
-    jobs: Vec<Job>,
+    jobs: JobSet,
     decisions: Vec<ServiceDecision>,
+    /// Admitted jobs not yet known to be resolved: the queue-cap count
+    /// prunes it instead of scanning every past decision.
+    live: Vec<JobId>,
     book: Watchdog,
     ws: SimWorkspace,
     st: Option<KernelState>,
@@ -460,7 +482,9 @@ struct Core<'a, P: CapacityProfile> {
 }
 
 impl<'a, P: CapacityProfile> Core<'a, P> {
-    fn new(capacity: &'a P, cfg: &'a ServiceConfig) -> Self {
+    /// A core with room for `arrivals` arrivals, so the job and decision
+    /// tables a caller keeps in the outcome carry no growth slack.
+    fn new(capacity: &'a P, cfg: &'a ServiceConfig, arrivals: usize) -> Self {
         let (c_lo, c_hi) = capacity.bounds();
         let mut ws = SimWorkspace::new();
         ws.begin(0);
@@ -477,8 +501,10 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
             capacity,
             cfg,
             c_lo,
-            jobs: Vec::new(),
-            decisions: Vec::new(),
+            jobs: JobSet::new(Vec::with_capacity(arrivals))
+                .expect("invariant: an empty job set is valid"),
+            decisions: Vec::with_capacity(arrivals),
+            live: Vec::new(),
             book: Watchdog::new(
                 cfg.policy,
                 c_lo,
@@ -508,9 +534,10 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
         Ok(())
     }
 
-    /// Applies one arrival end to end: WAL the arrival, pump the kernel
-    /// to its release instant, decide admission, WAL the decision, apply
-    /// its effects, then honour crash points and the snapshot cadence.
+    /// Applies one arrival end to end: journal the arrival, pump the
+    /// kernel to its release instant, decide admission, journal the
+    /// decision and sync once, apply its effects, then honour crash points
+    /// and the snapshot cadence. Nothing here is O(history).
     ///
     /// `journaled` is the decision a previous life of this run committed
     /// for the same sequence number (recovery passes it); replay must
@@ -521,7 +548,7 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
         wal: &mut Wal<'_>,
         seq: u64,
         a: &Arrival,
-        journaled: Option<&(bool, String, usize)>,
+        journaled: Option<&JournaledDecision>,
     ) -> Result<Step, CoreError> {
         if a.release < self.last_release {
             return Err(CoreError::InvalidParameter {
@@ -545,28 +572,26 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
             a.value,
         )?;
 
-        // WAL: the arrival record is durable before any of its effects.
-        wal.commit(&arrival_line(seq, a))?;
+        // WAL: the arrival record goes ahead of its decision; the
+        // decision's sync below makes both durable before any effect.
+        wal.append(&arrival_line(seq, a))?;
 
         // Advance the kernel to the arrival instant (events strictly
         // before the release, plus co-timed capacity changes, completions
         // and timers — the same boundary the batch kernel uses).
         let release = job.release;
         {
-            let set = JobSet::new(self.jobs.clone())?;
             let st = self.st.take().expect("invariant: kernel state parked");
-            let mut k = Kernel::resume(&mut self.ws, &set, self.capacity, &mut self.sink, st);
+            let mut k = Kernel::resume(&mut self.ws, &self.jobs, self.capacity, &mut self.sink, st);
             k.pump_ready(sched, release);
             self.st = Some(k.suspend());
         }
 
         // Decide. Pure function of the arrival sequence: replayable.
         let fault = self.book.inspect_release(&job);
-        let live = self
-            .decisions
-            .iter()
-            .filter(|d| d.admitted && !self.ws.resolved(d.job.index()))
-            .count();
+        let ws = &self.ws;
+        self.live.retain(|j| !ws.resolved(j.index()));
+        let live = self.live.len();
         let (admitted, reason, abort): (bool, DecisionReason, Option<CoreError>) = match fault {
             Some(f) => {
                 let reason = DecisionReason::from_fault(f.kind)
@@ -599,13 +624,14 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
             reason,
         };
         if let Some((j_admit, j_reason, j_line)) = journaled {
-            if *j_admit != admitted || j_reason != reason.as_str() {
+            if *j_admit != admitted || *j_reason != reason {
                 return Err(corrupt(
                     *j_line,
                     format!(
-                        "journaled decision for arrival {seq} ({} {j_reason}) diverges from \
+                        "journaled decision for arrival {seq} ({} {}) diverges from \
                          deterministic replay ({} {})",
                         if *j_admit { "admit" } else { "reject" },
+                        j_reason.as_str(),
                         if admitted { "admit" } else { "reject" },
                         reason.as_str()
                     ),
@@ -613,15 +639,15 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
             }
         }
 
-        // WAL: the verdict is durable before its effects.
+        // WAL: one sync makes the arrival and its verdict durable; the
+        // verdict counts as made only once it returns.
         wal.commit(&decision_line(&decision))?;
         self.decisions.push(decision);
 
         // Effects.
         {
-            let set = JobSet::new(self.jobs.clone())?;
             let st = self.st.take().expect("invariant: kernel state parked");
-            let mut k = Kernel::resume(&mut self.ws, &set, self.capacity, &mut self.sink, st);
+            let mut k = Kernel::resume(&mut self.ws, &self.jobs, self.capacity, &mut self.sink, st);
             if admitted {
                 k.admit_job(&job);
             } else {
@@ -629,7 +655,9 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
             }
             self.st = Some(k.suspend());
         }
-        if !admitted {
+        if admitted {
+            self.live.push(id);
+        } else {
             // The kernel never releases a rejected job, so the service
             // stamps its lifecycle: every arrival is visible in the
             // trace, and the surrendered value lands in a ledger bucket
@@ -654,7 +682,7 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
                 });
             }
         }
-        self.jobs.push(job);
+        self.jobs.push(job)?;
         self.flush(wal)?;
 
         if let Some(err) = abort {
@@ -702,12 +730,11 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
         wal: &mut Wal<'_>,
     ) -> Result<ServiceOutcome, CoreError> {
         let arrivals_applied = self.decisions.len() as u64;
-        let set = JobSet::new(std::mem::take(&mut self.jobs))?;
         let report = if self.crashed {
             None
         } else {
             let st = self.st.take().expect("invariant: kernel state parked");
-            let k = Kernel::resume(&mut self.ws, &set, self.capacity, &mut self.sink, st);
+            let k = Kernel::resume(&mut self.ws, &self.jobs, self.capacity, &mut self.sink, st);
             let (report, kernel_abort, _) = k.finish(sched);
             if self.aborted.is_none() {
                 self.aborted = kernel_abort;
@@ -720,7 +747,7 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
             report,
             events: self.sink.events,
             decisions: self.decisions,
-            jobs: set,
+            jobs: self.jobs,
             arrivals_applied,
             crashed: self.crashed,
             aborted: self.aborted,
@@ -746,7 +773,7 @@ pub fn serve<P: CapacityProfile>(
     let mut wal = Wal::new(sink, cfg.journal_attempts);
     let (c_lo, c_hi) = capacity.bounds();
     wal.commit(&open_line(cfg, c_lo, c_hi, capacity.rate_at(Time::ZERO)))?;
-    let mut core = Core::new(capacity, cfg);
+    let mut core = Core::new(capacity, cfg, arrivals.len());
     for (seq, a) in arrivals.iter().enumerate() {
         match core.apply_arrival(scheduler, &mut wal, seq as u64, a, None)? {
             Step::Continue => {}
@@ -760,141 +787,138 @@ pub fn serve<P: CapacityProfile>(
 // Recovery.
 // ---------------------------------------------------------------------
 
-struct ParsedJournal {
+/// A journaled verdict: `(admitted, reason, 1-based line)`.
+type JournaledDecision = (bool, DecisionReason, usize);
+
+/// A parsed journal. The snapshot blob — the largest record — borrows the
+/// journal text rather than being copied.
+struct ParsedJournal<'a> {
     header: JournalHeader,
-    arrivals: BTreeMap<u64, Arrival>,
-    decisions: BTreeMap<u64, (bool, String, usize)>,
+    /// Arrival records, indexed by `seq` (the service journals them
+    /// densely, in order).
+    arrivals: Vec<Arrival>,
+    /// Decision records, indexed by `seq`.
+    decisions: Vec<JournaledDecision>,
     /// `(line, seq, blob)` of the last snapshot record.
-    snapshot: Option<(usize, u64, String)>,
-    /// Trace events with their 1-based line numbers, in journal order.
-    trace: Vec<(usize, TraceEvent)>,
+    snapshot: Option<(usize, u64, &'a str)>,
+    /// Trace events in journal order.
+    trace: Vec<TraceEvent>,
+    /// How many of `trace` precede the last snapshot record.
+    trace_before_snapshot: usize,
 }
 
-fn svc_kind(line: &str, lineno: usize) -> Result<&str, CoreError> {
+/// Parses an `open` record.
+fn parse_open(line: &str, lineno: usize) -> Result<JournalHeader, CoreError> {
+    let fields = flat_fields(line, lineno)?;
+    let get = |key: &str| field(&fields, key, lineno, "open record");
+    let num = |key: &str| -> Result<f64, CoreError> {
+        get(key)?
+            .parse::<f64>()
+            .map_err(|_| corrupt(lineno, format!("open record {key:?} is not a number")))
+    };
+    if get("version")? != "1" {
+        return Err(corrupt(lineno, "unsupported journal version"));
+    }
+    Ok(JournalHeader {
+        scheduler: get("scheduler")?.to_string(),
+        k: num("k")?,
+        delta: num("delta")?,
+        c_lo: num("c_lo")?,
+        c_hi: num("c_hi")?,
+        rate: num("rate")?,
+        queue_cap: get("queue_cap")?
+            .parse::<usize>()
+            .map_err(|_| corrupt(lineno, "open record \"queue_cap\" is not an integer"))?,
+        snapshot_every: get("snapshot_every")?
+            .parse::<u64>()
+            .map_err(|_| corrupt(lineno, "open record \"snapshot_every\" is not an integer"))?,
+        policy: DegradationPolicy::parse(get("policy")?)
+            .ok_or_else(|| corrupt(lineno, "open record names an unknown degradation policy"))?,
+    })
+}
+
+/// Classifies one non-blank journal line: `Ok(None)` for a trace event,
+/// `Ok(Some(kind))` for a service record, an error for anything else.
+fn service_kind(line: &str, lineno: usize) -> Result<Option<&str>, CoreError> {
+    if line.starts_with("{\"t\":") {
+        return Ok(None);
+    }
+    if !line.starts_with("{\"svc\":") {
+        return Err(corrupt(
+            lineno,
+            "journal line is neither a service record nor a trace event",
+        ));
+    }
     line.strip_prefix("{\"svc\":\"")
         .and_then(|rest| rest.split('"').next())
+        .map(Some)
         .ok_or_else(|| corrupt(lineno, "service record has no type tag"))
 }
 
-fn parse_journal(journal: &str) -> Result<ParsedJournal, CoreError> {
+/// Checks that a record's `seq` is `expected`: the service journals
+/// arrivals and decisions densely, in order.
+fn in_sequence(
+    fields: &[(&str, &str)],
+    expected: usize,
+    lineno: usize,
+    what: &str,
+) -> Result<(), CoreError> {
+    let seq = field(fields, "seq", lineno, what)?;
+    if seq.parse::<usize>().ok() != Some(expected) {
+        return Err(corrupt(
+            lineno,
+            format!("{what} for seq {seq} is out of sequence (expected {expected})"),
+        ));
+    }
+    Ok(())
+}
+
+fn no_open_record() -> CoreError {
+    corrupt(1, "journal has no open record")
+}
+
+fn parse_journal(journal: &str) -> Result<ParsedJournal<'_>, CoreError> {
     let mut header: Option<JournalHeader> = None;
-    let mut arrivals = BTreeMap::new();
-    let mut decisions = BTreeMap::new();
+    let mut arrivals = Vec::new();
+    let mut decisions = Vec::new();
     let mut snapshot = None;
     let mut trace = Vec::new();
-    for (i, raw) in journal.lines().enumerate() {
-        let lineno = i + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with("{\"t\":") {
+    let mut trace_before_snapshot = 0;
+    for (lineno, line) in numbered_lines(journal) {
+        let Some(kind) = service_kind(line, lineno)? else {
             let ev = TraceEvent::parse_jsonl(line).map_err(|e| corrupt(lineno, e))?;
-            trace.push((lineno, ev));
+            trace.push(ev);
             continue;
+        };
+        if header.is_none() && kind != "open" {
+            return Err(corrupt(lineno, "service record precedes the open record"));
         }
-        if !line.starts_with("{\"svc\":") {
-            return Err(corrupt(
-                lineno,
-                "journal line is neither a service record nor a trace event",
-            ));
-        }
-        match svc_kind(line, lineno)? {
+        match kind {
             "open" => {
                 if header.is_some() {
                     return Err(corrupt(lineno, "journal has more than one open record"));
                 }
-                let fields = flat_fields(line, lineno)?;
-                let get = |key: &str| -> Result<&str, CoreError> {
-                    fields
-                        .iter()
-                        .find(|(k, _)| k == key)
-                        .map(|(_, v)| v.as_str())
-                        .ok_or_else(|| corrupt(lineno, format!("open record is missing {key:?}")))
-                };
-                let num = |key: &str| -> Result<f64, CoreError> {
-                    get(key)?.parse::<f64>().map_err(|_| {
-                        corrupt(lineno, format!("open record {key:?} is not a number"))
-                    })
-                };
-                if get("version")? != "1" {
-                    return Err(corrupt(lineno, "unsupported journal version"));
-                }
-                header = Some(JournalHeader {
-                    scheduler: get("scheduler")?.to_string(),
-                    k: num("k")?,
-                    delta: num("delta")?,
-                    c_lo: num("c_lo")?,
-                    c_hi: num("c_hi")?,
-                    rate: num("rate")?,
-                    queue_cap: get("queue_cap")?.parse::<usize>().map_err(|_| {
-                        corrupt(lineno, "open record \"queue_cap\" is not an integer")
-                    })?,
-                    snapshot_every: get("snapshot_every")?.parse::<u64>().map_err(|_| {
-                        corrupt(lineno, "open record \"snapshot_every\" is not an integer")
-                    })?,
-                    policy: DegradationPolicy::parse(get("policy")?).ok_or_else(|| {
-                        corrupt(lineno, "open record names an unknown degradation policy")
-                    })?,
-                });
+                header = Some(parse_open(line, lineno)?);
             }
             "arrival" => {
                 let fields = flat_fields(line, lineno)?;
-                let num = |key: &str| -> Result<f64, CoreError> {
-                    fields
-                        .iter()
-                        .find(|(k, _)| k == key)
-                        .ok_or_else(|| {
-                            corrupt(lineno, format!("arrival record is missing {key:?}"))
-                        })?
-                        .1
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|v| !v.is_nan())
-                        .ok_or_else(|| {
-                            corrupt(lineno, format!("arrival record {key:?} is not a number"))
-                        })
-                };
-                let seq = num("seq")? as u64;
-                let spec = Arrival {
-                    release: num("r")?,
-                    deadline: num("d")?,
-                    workload: num("p")?,
-                    value: num("v")?,
-                };
-                if arrivals.insert(seq, spec).is_some() {
-                    return Err(corrupt(
-                        lineno,
-                        format!("duplicate arrival record for seq {seq}"),
-                    ));
-                }
+                in_sequence(&fields, arrivals.len(), lineno, "arrival record")?;
+                arrivals.push(arrival_from(&fields, lineno)?);
             }
             "decision" => {
                 let fields = flat_fields(line, lineno)?;
-                let get = |key: &str| -> Result<&str, CoreError> {
-                    fields
-                        .iter()
-                        .find(|(k, _)| k == key)
-                        .map(|(_, v)| v.as_str())
-                        .ok_or_else(|| {
-                            corrupt(lineno, format!("decision record is missing {key:?}"))
-                        })
-                };
-                let seq = get("seq")?
-                    .parse::<u64>()
-                    .map_err(|_| corrupt(lineno, "decision record \"seq\" is not an integer"))?;
+                let get = |key: &str| field(&fields, key, lineno, "decision record");
+                in_sequence(&fields, decisions.len(), lineno, "decision record")?;
                 let admit = match get("admit")? {
                     "true" => true,
                     "false" => false,
                     _ => return Err(corrupt(lineno, "decision record \"admit\" is not a bool")),
                 };
-                let reason = get("reason")?.to_string();
-                if decisions.insert(seq, (admit, reason, lineno)).is_some() {
-                    return Err(corrupt(
-                        lineno,
-                        format!("duplicate decision record for seq {seq}"),
-                    ));
-                }
+                let reason = get("reason")?;
+                let reason = DecisionReason::parse(reason).ok_or_else(|| {
+                    corrupt(lineno, format!("unknown decision reason {reason:?}"))
+                })?;
+                decisions.push((admit, reason, lineno));
             }
             "snapshot" => {
                 // The blob contains the flat parser's separators, so it
@@ -909,17 +933,20 @@ fn parse_journal(journal: &str) -> Result<ParsedJournal, CoreError> {
                     .split_once("\"seq\":")
                     .and_then(|(_, rest)| rest.trim_end_matches([',', ' ']).parse::<u64>().ok())
                     .ok_or_else(|| corrupt(lineno, "snapshot record has no seq"))?;
-                snapshot = Some((lineno, seq, blob.to_string()));
+                snapshot = Some((lineno, seq, blob));
+                trace_before_snapshot = trace.len();
             }
             "snapshot-unsupported" => {
                 // Informational: the run's scheduler could not checkpoint,
                 // so there is no snapshot to restore — replay handles it.
-                let fields = flat_fields(line, lineno)?;
-                fields
-                    .iter()
-                    .find(|(k, _)| k == "seq")
-                    .and_then(|(_, v)| v.parse::<u64>().ok())
-                    .ok_or_else(|| corrupt(lineno, "snapshot-unsupported record has no seq"))?;
+                field(
+                    &flat_fields(line, lineno)?,
+                    "seq",
+                    lineno,
+                    "snapshot-unsupported record",
+                )?
+                .parse::<u64>()
+                .map_err(|_| corrupt(lineno, "snapshot-unsupported record has no seq"))?;
             }
             other => {
                 return Err(corrupt(
@@ -930,19 +957,29 @@ fn parse_journal(journal: &str) -> Result<ParsedJournal, CoreError> {
         }
     }
     Ok(ParsedJournal {
-        header: header.ok_or_else(|| corrupt(1, "journal has no open record"))?,
+        header: header.ok_or_else(no_open_record)?,
         arrivals,
         decisions,
         snapshot,
         trace,
+        trace_before_snapshot,
     })
 }
 
 /// Parses just the `open` record of a journal — enough for a caller to
 /// rebuild the scheduler (via its factory) and the capacity profile
-/// before calling [`recover`].
+/// before calling [`recover`]. It reads up to the first service record
+/// and no further, so the cost is independent of the journal's length;
+/// [`recover`] validates the rest.
 pub fn journal_header(journal: &str) -> Result<JournalHeader, CoreError> {
-    Ok(parse_journal(journal)?.header)
+    for (lineno, line) in numbered_lines(journal) {
+        match service_kind(line, lineno)? {
+            None => continue,
+            Some("open") => return parse_open(line, lineno),
+            Some(_) => return Err(corrupt(lineno, "service record precedes the open record")),
+        }
+    }
+    Err(no_open_record())
 }
 
 /// Recovers a crashed (or merely stopped) service run: restores the last
@@ -960,7 +997,7 @@ pub fn recover<P: CapacityProfile>(
     journal: &str,
     stream: &str,
 ) -> Result<ServiceOutcome, CoreError> {
-    let parsed = parse_journal(journal)?;
+    let mut parsed = parse_journal(journal)?;
     let (c_lo, c_hi) = capacity.bounds();
     // lint: allow(L001) — capacity-class identity is bit-equality, not tolerance
     if parsed.header.c_lo.to_bits() != c_lo.to_bits()
@@ -976,19 +1013,23 @@ pub fn recover<P: CapacityProfile>(
         ));
     }
     let cfg = parsed.header.config();
-    let stream_arrivals = parse_stream(stream)?;
+    // Stream lines the journal already covers are never parsed.
+    let covered = parsed.arrivals.len();
+    let mut unjournaled = numbered_lines(stream).skip(covered);
     let mut wal = Wal::new(None, 1);
-    let mut core = Core::new(capacity, &cfg);
+    let arrivals = numbered_lines(stream).count().max(covered);
+    let mut core = Core::new(capacity, &cfg, arrivals);
+    let mut trace = std::mem::take(&mut parsed.trace);
 
-    let start_seq = match &parsed.snapshot {
+    let start_seq = match parsed.snapshot {
         Some((lineno, snap_seq, blob)) => {
             // Rebuild the bookkeeping the snapshot deliberately omits by
             // folding the journaled prefix: jobs, verdicts and the
             // admission book are pure functions of the arrival sequence.
-            for seq in 0..=*snap_seq {
-                let a = parsed.arrivals.get(&seq).ok_or_else(|| {
+            for seq in 0..=snap_seq {
+                let a = parsed.arrivals.get(seq as usize).ok_or_else(|| {
                     corrupt(
-                        *lineno,
+                        lineno,
                         format!("snapshot covers arrival {seq} but its record is missing"),
                     )
                 })?;
@@ -1001,26 +1042,25 @@ pub fn recover<P: CapacityProfile>(
                 )?;
                 let _ = core.book.inspect_release(&job);
                 core.last_release = a.release;
-                let (admit, reason, dline) = parsed.decisions.get(&seq).ok_or_else(|| {
-                    corrupt(
-                        *lineno,
-                        format!("snapshot covers arrival {seq} but its decision is missing"),
-                    )
-                })?;
+                let (admitted, reason, _) =
+                    parsed.decisions.get(seq as usize).ok_or_else(|| {
+                        corrupt(
+                            lineno,
+                            format!("snapshot covers arrival {seq} but its decision is missing"),
+                        )
+                    })?;
                 core.decisions.push(ServiceDecision {
                     seq,
                     job: JobId(seq),
-                    admitted: *admit,
-                    reason: DecisionReason::parse(reason).ok_or_else(|| {
-                        corrupt(*dline, format!("unknown decision reason {reason:?}"))
-                    })?,
+                    admitted: *admitted,
+                    reason: *reason,
                 });
-                core.jobs.push(job);
+                core.jobs.push(job)?;
             }
-            let image = snapshot::decode(blob, *lineno)?;
+            let image = snapshot::decode(blob, lineno)?;
             if image.jobs() != core.jobs.len() {
                 return Err(corrupt(
-                    *lineno,
+                    lineno,
                     format!(
                         "snapshot tables cover {} jobs but the journal prefix has {}",
                         image.jobs(),
@@ -1030,30 +1070,36 @@ pub fn recover<P: CapacityProfile>(
             }
             scheduler.restore_state(&image.sched_blob)?;
             core.st = Some(image.apply(&mut core.ws));
+            let ws = &core.ws;
+            core.live = core
+                .decisions
+                .iter()
+                .filter(|d| d.admitted && !ws.resolved(d.job.index()))
+                .map(|d| d.job)
+                .collect();
             // Trace lines before the snapshot record are the final,
             // authoritative event prefix; later ones are regenerated.
-            core.sink.events = parsed
-                .trace
-                .iter()
-                .filter(|(l, _)| l < lineno)
-                .map(|(_, e)| *e)
-                .collect();
+            trace.truncate(parsed.trace_before_snapshot);
+            core.sink.events = trace;
             core.flushed = core.sink.events.len();
             snap_seq + 1
         }
-        None => 0,
+        None => {
+            drop(trace);
+            0
+        }
     };
 
     let mut seq = start_seq;
     loop {
-        let a = match parsed.arrivals.get(&seq) {
+        let a = match parsed.arrivals.get(seq as usize) {
             Some(a) => *a,
-            None => match stream_arrivals.get(seq as usize) {
-                Some(a) => *a,
+            None => match unjournaled.next() {
+                Some((lineno, line)) => arrival_from(&flat_fields(line, lineno)?, lineno)?,
                 None => break,
             },
         };
-        let journaled = parsed.decisions.get(&seq);
+        let journaled = parsed.decisions.get(seq as usize);
         match core.apply_arrival(scheduler, &mut wal, seq, &a, journaled)? {
             Step::Continue => {}
             Step::Stop => break,
@@ -1149,6 +1195,13 @@ mod tests {
     #[test]
     fn journal_parser_flags_corrupt_records() {
         let open = open_line(&ServiceConfig::new("vdover", 7.0), 1.0, 2.0, 1.0);
+        let a = Arrival {
+            release: 0.0,
+            deadline: 2.0,
+            workload: 1.0,
+            value: 1.0,
+        };
+        let arrival = arrival_line(0, &a);
         let cases: &[(String, usize)] = &[
             ("".into(), 1),                                      // no open record
             (format!("{open}\n{open}"), 2),                      // duplicate open
@@ -1158,6 +1211,13 @@ mod tests {
                 format!("{open}\n{{\"svc\":\"decision\",\"seq\":0,\"admit\":\"maybe\",\"reason\":\"admit\"}}"),
                 2,
             ),
+            (
+                format!("{open}\n{{\"svc\":\"decision\",\"seq\":0,\"admit\":true,\"reason\":\"bogus\"}}"),
+                2,
+            ),
+            (format!("{arrival}\n{open}"), 1),                  // service record before open
+            (format!("{open}\n{arrival}\n{arrival}"), 3),      // duplicate arrival
+            (format!("{open}\n{}", arrival_line(1, &a)), 2),    // arrival out of sequence
         ];
         for (journal, at) in cases {
             match parse_journal(journal) {

@@ -5,7 +5,7 @@
 export CARGO_NET_OFFLINE := "true"
 
 # Run the full CI gauntlet.
-ci: fmt build bench-check test lint golden-trace chaos serve-smoke bench-smoke sweep-smoke fleet-smoke
+ci: fmt build bench-check test lint golden-trace chaos serve-smoke bench-smoke sweep-smoke fleet-smoke perfbench-selftest
 
 fmt:
     cargo fmt --all --check
@@ -134,18 +134,20 @@ bench-diff tol="50":
 # checked-in golden stream to completion, then serve it again with a seeded
 # crash mid-stream and recover from the journal — both the uninterrupted
 # and the recovered ledger + commitment audit must match the checked-in
-# golden byte-for-byte.
+# golden byte-for-byte, and so must the uninterrupted run's journal.
 serve-smoke:
     cargo run --release -p cloudsched-cli -- serve --in tests/golden/stream_small.jsonl --scheduler vdover --k 7 --snapshot-every 8 --journal /tmp/serve-smoke-full.wal > /tmp/serve-smoke-full.txt
     diff -u tests/golden/serve_stream_small.txt /tmp/serve-smoke-full.txt
+    cmp tests/golden/serve_stream_small.wal /tmp/serve-smoke-full.wal
     cargo run --release -p cloudsched-cli -- serve --in tests/golden/stream_small.jsonl --scheduler vdover --k 7 --snapshot-every 8 --journal /tmp/serve-smoke-crash.wal --crash-after 17
     cargo run --release -p cloudsched-cli -- recover --journal /tmp/serve-smoke-crash.wal --in tests/golden/stream_small.jsonl > /tmp/serve-smoke-recovered.txt
     diff -u tests/golden/serve_stream_small.txt /tmp/serve-smoke-recovered.txt
 
-# Regenerate the checked-in golden service ledger after an *intentional*
-# change to the admission service, the ledger, or the commitment audit.
+# Regenerate the checked-in golden service ledger and journal after an
+# *intentional* change to the admission service, the journal format, the
+# ledger, or the commitment audit.
 serve-golden-regen:
-    cargo run --release -p cloudsched-cli -- serve --in tests/golden/stream_small.jsonl --scheduler vdover --k 7 --snapshot-every 8 > tests/golden/serve_stream_small.txt
+    cargo run --release -p cloudsched-cli -- serve --in tests/golden/stream_small.jsonl --scheduler vdover --k 7 --snapshot-every 8 --journal tests/golden/serve_stream_small.wal > tests/golden/serve_stream_small.txt
 
 # Chaos smoke: run a fixed-seed fault-injection campaign twice and byte-diff
 # the fault traces — zero panics, deterministic fault sequence (mirrors CI).
@@ -159,3 +161,17 @@ chaos:
 # to fault injection or the degradation layer.
 chaos-golden-regen:
     cargo run --release -p cloudsched-cli -- chaos --lambda 6 --seed 3 --seeds 1 --plan harsh --policy degrade --trace-out tests/golden/chaos_seed3_degrade.jsonl
+
+# Repository benchmark (perfbench/, see BENCHMARK.json and
+# perfbench/README.md): one workload end to end (trace=0: setup_s,
+# jobs_per_s, peak_rss_mb) or layer by layer (trace=1). Workloads:
+# table1-sweep, kernel-burst, serve-wal, fleet-p2c. E.g.
+# `just perfbench serve-wal` or `just perfbench serve-wal 90210 25 1`.
+perfbench workload seed="0" seconds="25" trace="0":
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload {{workload}} --seed {{seed}} --seconds {{seconds}} --trace {{trace}}
+
+# Benchmark self-test (mirrors the CI step): every workload at a tiny size,
+# the recorded digests at the standard size, traced against untraced,
+# seeded failures, the metric catalogue against BENCHMARK.json, the lint.
+perfbench-selftest:
+    cargo test --offline --manifest-path perfbench/Cargo.toml

@@ -9,6 +9,9 @@
 //!   prefix yields a final trace — and therefore a value-loss ledger —
 //!   byte-identical to the uninterrupted run, with and without snapshots,
 //!   and for schedulers that cannot snapshot at all (genesis replay);
+//! * a run syncs once per arrival (arrival and decision share the sync),
+//!   its journal bytes match the checked-in golden journal, and an
+//!   arrival whose sync never completed is replayed and decided afresh;
 //! * journal write faults are retried within the configured budget and
 //!   surface as typed `JournalWrite` errors when the budget is exhausted;
 //! * the commitment audit proves zero reneged admissions across Table I
@@ -24,10 +27,10 @@ use cloudsched::prelude::*;
 use cloudsched::sched::by_name;
 use cloudsched::sim::{
     audit::commitments::audit_commitments, journal_header, recover, serve, simulate_traced,
-    DegradationPolicy, ServiceConfig,
+    DecisionReason, DegradationPolicy, ServiceConfig, ServiceOutcome,
 };
 use cloudsched_core::CoreError;
-use cloudsched_obs::RingTracer;
+use cloudsched_obs::{JournalSink, RingTracer};
 
 /// Renders a job set as the service's JSONL arrival stream, ordered by
 /// release time (the admission contract).
@@ -115,14 +118,21 @@ fn serve_matches_batch_kernel_on_clean_stream() {
 /// from the durable journal prefix; ledger and trace must match the
 /// uninterrupted run byte for byte.
 fn crash_sweep(scheduler: &str, snapshot_every: u64) {
-    let instance = small_table1(4.0, 4.0, 23);
-    let (c_lo, c_hi) = instance.capacity.bounds();
-    let stream = stream_text(&instance.jobs);
     let mut cfg = ServiceConfig::new(scheduler, 7.0);
     cfg.snapshot_every = snapshot_every;
+    crash_sweep_with(&small_table1(4.0, 4.0, 23), &cfg);
+}
+
+/// [`crash_sweep`] for any instance and config; returns the uninterrupted
+/// run.
+fn crash_sweep_with(instance: &Instance, cfg: &ServiceConfig) -> ServiceOutcome {
+    let scheduler = cfg.scheduler.as_str();
+    let snapshot_every = cfg.snapshot_every;
+    let (c_lo, c_hi) = instance.capacity.bounds();
+    let stream = stream_text(&instance.jobs);
 
     let mut sched = by_name(scheduler, 7.0, 5.0, c_lo, c_hi).unwrap();
-    let golden = serve(&instance.capacity, &cfg, sched.as_mut(), &stream, None).unwrap();
+    let golden = serve(&instance.capacity, cfg, sched.as_mut(), &stream, None).unwrap();
     assert!(!golden.crashed && golden.aborted.is_none());
     let golden_lines = events_jsonl(&golden.events);
     let golden_ledger = ledger_render(&golden.events, &golden.jobs);
@@ -148,6 +158,7 @@ fn crash_sweep(scheduler: &str, snapshot_every: u64) {
             "a crashed run has no final report"
         );
         assert_eq!(crashed.arrivals_applied, crash_at + 1);
+        assert!(crashed.aborted.is_none());
 
         // Only the durable prefix survives the crash.
         let tail = journal.synced_lines().join("\n");
@@ -171,6 +182,7 @@ fn crash_sweep(scheduler: &str, snapshot_every: u64) {
         );
         assert_eq!(recovered.decisions, golden.decisions);
     }
+    golden
 }
 
 #[test]
@@ -501,4 +513,207 @@ fn recovery_of_an_uncrashed_journal_is_idempotent() {
         ledger_render(&recovered.events, &recovered.jobs),
         ledger_render(&golden.events, &golden.jobs)
     );
+}
+
+#[test]
+fn queue_cap_backpressure_is_unchanged_across_a_snapshot_recover_boundary() {
+    // An overloaded stream against a small live-job cap: shedding depends
+    // on which admitted jobs are still unresolved, so after a snapshot
+    // restore recovery must rebuild that set exactly.
+    let instance = small_table1(14.0, 2.0, 5);
+    let mut cfg = ServiceConfig::new("vdover", 7.0);
+    cfg.queue_cap = 3;
+    cfg.snapshot_every = 2;
+    let golden = crash_sweep_with(&instance, &cfg);
+    let shed_after_snapshot = golden
+        .decisions
+        .iter()
+        .filter(|d| d.reason == DecisionReason::Shed && d.seq >= cfg.snapshot_every)
+        .count();
+    assert!(
+        shed_after_snapshot >= 2,
+        "the cap must bind after the first snapshot, got {shed_after_snapshot} sheds"
+    );
+    assert!(
+        golden
+            .decisions
+            .iter()
+            .any(|d| d.admitted && d.seq >= cfg.snapshot_every),
+        "jobs must also be admitted after the first snapshot"
+    );
+}
+
+/// A journal that counts syncs and checks the commit order: once a
+/// decision record is appended, the next operation must be the sync that
+/// makes it durable.
+#[derive(Default)]
+struct CountingJournal {
+    inner: MemJournal,
+    syncs: u64,
+    decision_pending: bool,
+}
+
+impl JournalSink for CountingJournal {
+    fn append(&mut self, line: &str) -> std::io::Result<()> {
+        assert!(
+            !self.decision_pending,
+            "{line:?} was appended before the preceding decision was synced"
+        );
+        self.decision_pending = line.starts_with("{\"svc\":\"decision\"");
+        self.inner.append(line)
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.syncs += 1;
+        self.decision_pending = false;
+        self.inner.sync()
+    }
+}
+
+#[test]
+fn a_clean_run_syncs_once_per_arrival_and_writes_the_golden_journal() {
+    // The configuration of `cloudsched serve --in stream_small.jsonl
+    // --scheduler vdover --k 7 --snapshot-every 8`, whose journal is
+    // checked in: the one-sync commit must not move a byte of it.
+    let stream = include_str!("golden/stream_small.jsonl");
+    let capacity = Constant::new(1.0).unwrap();
+    let mut cfg = ServiceConfig::new("vdover", 7.0);
+    cfg.snapshot_every = 8;
+    let mut sched = by_name("vdover", 7.0, cfg.delta, 1.0, 1.0).unwrap();
+    let mut journal = CountingJournal::default();
+    let outcome = serve(&capacity, &cfg, sched.as_mut(), stream, Some(&mut journal)).unwrap();
+    assert!(!outcome.crashed && outcome.aborted.is_none());
+
+    let lines = journal.inner.lines();
+    let arrivals = outcome.arrivals_applied;
+    let snapshots = lines
+        .iter()
+        .filter(|l| l.starts_with("{\"svc\":\"snapshot\","))
+        .count() as u64;
+    assert_eq!((arrivals, snapshots), (30, 3));
+    assert_eq!(
+        journal.syncs,
+        1 + arrivals + snapshots + 1,
+        "open, one per arrival, one per snapshot, finish"
+    );
+    assert_eq!(journal.inner.synced_lines().len(), lines.len());
+    let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    assert_eq!(
+        body,
+        include_str!("golden/serve_stream_small.wal"),
+        "journal bytes must match the checked-in golden journal"
+    );
+}
+
+#[test]
+fn an_unsynced_arrival_without_its_decision_is_replayed_and_decided_afresh() {
+    // A crash between appending arrival k and the sync that would make its
+    // decision durable can leave the arrival record in the file. Recovery
+    // must replay it, decide it again, and end byte-identical to the
+    // uninterrupted run — whether or not the unsynced trace lines before
+    // it survived too.
+    let instance = small_table1(4.0, 4.0, 23);
+    let (c_lo, c_hi) = instance.capacity.bounds();
+    let stream = stream_text(&instance.jobs);
+    let mut cfg = ServiceConfig::new("vdover", 7.0);
+    cfg.snapshot_every = 2;
+    let mut full = MemJournal::new();
+    let mut sched = by_name("vdover", 7.0, 5.0, c_lo, c_hi).unwrap();
+    let golden = serve(
+        &instance.capacity,
+        &cfg,
+        sched.as_mut(),
+        &stream,
+        Some(&mut full),
+    )
+    .unwrap();
+    let golden_lines = events_jsonl(&golden.events);
+    let n = golden.arrivals_applied;
+    assert!(n >= 6);
+
+    for k in 1..n {
+        let arrival = format!("{{\"svc\":\"arrival\",\"seq\":{k},");
+        let decision = format!("{{\"svc\":\"decision\",\"seq\":{k},");
+        let at = full
+            .lines()
+            .iter()
+            .position(|l| l.starts_with(&decision))
+            .expect("every arrival has a decision");
+        assert!(
+            full.lines()[at - 1].starts_with(&arrival),
+            "an arrival record immediately precedes its decision"
+        );
+
+        // The synced prefix of a run that crashed after arrival k − 1,
+        // plus arrival k's record.
+        let mut cfg_crash = cfg.clone();
+        cfg_crash.crash_after = Some(k - 1);
+        let mut journal = MemJournal::new();
+        let mut sched = by_name("vdover", 7.0, 5.0, c_lo, c_hi).unwrap();
+        serve(
+            &instance.capacity,
+            &cfg_crash,
+            sched.as_mut(),
+            &stream,
+            Some(&mut journal),
+        )
+        .unwrap();
+        let mut synced_plus_arrival = journal.synced_lines().to_vec();
+        synced_plus_arrival.push(full.lines()[at - 1].clone());
+        // Everything appended before arrival k's decision.
+        let appended_before_decision = full.lines()[..at].to_vec();
+
+        for body in [synced_plus_arrival, appended_before_decision] {
+            let body = body.join("\n");
+            assert!(!body.contains(&decision));
+            let mut fresh = by_name("vdover", 7.0, 5.0, c_lo, c_hi).unwrap();
+            let recovered = recover(&instance.capacity, fresh.as_mut(), &body, &stream).unwrap();
+            assert!(!recovered.crashed && recovered.aborted.is_none());
+            assert_eq!(
+                events_jsonl(&recovered.events),
+                golden_lines,
+                "recovered trace diverges with arrival {k} journaled but undecided"
+            );
+            assert_eq!(recovered.decisions, golden.decisions);
+        }
+    }
+}
+
+#[test]
+fn journal_header_reads_only_the_open_record() {
+    let instance = small_table1(4.0, 3.0, 41);
+    let (c_lo, c_hi) = instance.capacity.bounds();
+    let stream = stream_text(&instance.jobs);
+    let mut cfg = ServiceConfig::new("vdover", 7.0);
+    cfg.snapshot_every = 2;
+    cfg.crash_after = Some(3);
+    let mut journal = MemJournal::new();
+    let mut sched = by_name("vdover", 7.0, 5.0, c_lo, c_hi).unwrap();
+    serve(
+        &instance.capacity,
+        &cfg,
+        sched.as_mut(),
+        &stream,
+        Some(&mut journal),
+    )
+    .unwrap();
+    let mut lines = journal.synced_lines().to_vec();
+    let clean = journal_header(&lines.join("\n")).unwrap();
+
+    // A corrupt tail: the header is still readable, recovery is not.
+    lines.push("{\"svc\":\"decision\",\"seq\":oops}".to_string());
+    let corrupt = lines.join("\n");
+    assert_eq!(journal_header(&corrupt).unwrap(), clean);
+    let mut fresh = by_name("vdover", 7.0, 5.0, c_lo, c_hi).unwrap();
+    match recover(&instance.capacity, fresh.as_mut(), &corrupt, &stream) {
+        Err(CoreError::CorruptJournal { line, .. }) => assert_eq!(line, lines.len()),
+        other => panic!("expected CorruptJournal, got {other:?}"),
+    }
+
+    // A journal whose first service record is not `open` has no header.
+    let headless = lines[1..].join("\n");
+    assert!(matches!(
+        journal_header(&headless),
+        Err(CoreError::CorruptJournal { line: 1, .. })
+    ));
 }
