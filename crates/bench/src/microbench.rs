@@ -22,9 +22,6 @@ const TARGET_SAMPLE: Duration = Duration::from_millis(25);
 pub struct BenchGroup {
     name: String,
     rows: Vec<(String, Stats)>,
-    /// Multiplier applied to iteration counts; `CLOUDSCHED_BENCH_QUICK=1`
-    /// drops it for fast smoke runs.
-    quick: bool,
 }
 
 /// Summary statistics over the per-iteration sample times (nanoseconds).
@@ -46,7 +43,6 @@ impl BenchGroup {
         BenchGroup {
             name: name.to_string(),
             rows: Vec::new(),
-            quick: std::env::var_os("CLOUDSCHED_BENCH_QUICK").is_some(),
         }
     }
 
@@ -57,13 +53,9 @@ impl BenchGroup {
         let start = Instant::now();
         black_box(f());
         let once = start.elapsed().max(Duration::from_nanos(1));
-        let mut iters = (TARGET_SAMPLE.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
-        if self.quick {
-            iters = iters.min(3);
-        }
-        let samples = if self.quick { 3 } else { SAMPLES };
-        let mut per_iter: Vec<f64> = Vec::with_capacity(samples);
-        for _ in 0..samples {
+        let iters = (TARGET_SAMPLE.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
+        let mut per_iter: Vec<f64> = Vec::with_capacity(SAMPLES);
+        for _ in 0..SAMPLES {
             let t = Instant::now();
             for _ in 0..iters {
                 black_box(f());
@@ -120,7 +112,6 @@ mod tests {
 
     #[test]
     fn bench_measures_and_records() {
-        std::env::set_var("CLOUDSCHED_BENCH_QUICK", "1");
         let mut g = BenchGroup::new("test");
         let s = g.bench("sum", || (0..100u64).sum::<u64>());
         assert!(s.min_ns >= 0.0);

@@ -516,26 +516,32 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// `cloudsched bench`: the checked-in benchmark suites. `--suite kernel`
 /// (the default) sweeps EDF / Dover / V-Dover hot-path ns/decision over
-/// seeded instances (n ∈ {1e3, 1e4, 1e5, 1e6}) into `BENCH_kernel.json`;
-/// `--compare` additionally measures every kernel cell on the reference
-/// binary-heap event queue, recording paired `flat`/`heap` rows.
-/// `--suite sweep` measures Monte-Carlo runs/second of the Table-I panel
-/// in fresh vs reused-workspace modes across thread counts into
-/// `BENCH_sweep.json`. `--suite fleet` measures multi-machine fleet
-/// runs/second across fleet sizes and thread counts into
-/// `BENCH_fleet.json`, enforcing bit-identical output at every thread
-/// count. `--quick` selects each suite's CI smoke configuration. All
-/// timing happens inside `cloudsched-bench` behind the `obs::Clock` seam;
-/// the written report is re-parsed through the suite's strict schema
-/// validator so a malformed report fails the command.
+/// seeded instances (n ∈ {1e3, 1e4, 1e5, 1e6}); `--compare` additionally
+/// measures every kernel cell on the reference binary-heap event queue,
+/// recording paired `flat`/`heap` rows. `--suite sweep` measures
+/// Monte-Carlo runs/second of the Table-I panel in fresh vs
+/// reused-workspace modes across thread counts. `--suite fleet` measures
+/// multi-machine fleet runs/second across fleet sizes and thread counts,
+/// enforcing bit-identical output at every thread count. `--quick` selects
+/// each suite's CI smoke configuration; the report goes to `--out`
+/// (default `BENCH_<suite>.json`). All timing happens inside
+/// `cloudsched-bench` behind the `obs::Clock` seam; the written report is
+/// re-parsed through the strict schema validator, so a malformed report
+/// fails the command.
 ///
-/// `--compare` (flat-vs-heap event queues) only exists for the kernel
-/// suite; asking for it elsewhere is a usage error (exit 2), not a
-/// silently ignored knob.
+/// Unknown flags, an unknown suite, and `--compare` outside the kernel
+/// suite (the only one with a reference event-queue backend) are usage
+/// errors (exit 2), not silently ignored knobs.
 fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), CliError> {
+    use cloudsched_bench::{
+        report, run_fleet_bench, run_kernel_bench, run_sweep_bench, FleetBenchConfig,
+        KernelBenchConfig, Row, SweepBenchConfig,
+    };
+    reject_unknown_flags(flags, &["suite", "quick", "compare", "out"])?;
     let suite = flags.get("suite").map(String::as_str).unwrap_or("kernel");
     let quick = flags.contains_key("quick");
-    if flags.contains_key("compare") && suite != "kernel" {
+    let compare = flags.contains_key("compare");
+    if compare && suite != "kernel" {
         return usage_err(
             "--compare",
             &format!(
@@ -544,43 +550,52 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), CliError> {
             ),
         );
     }
-    match suite {
-        "kernel" => cmd_bench_kernel(flags, quick).map_err(CliError::Runtime),
-        "sweep" => cmd_bench_sweep(flags, quick).map_err(CliError::Runtime),
-        "fleet" => cmd_bench_fleet(flags, quick).map_err(CliError::Runtime),
-        other => usage_err(
-            "--suite",
-            &format!("unknown suite `{other}` (kernel|sweep|fleet)"),
-        ),
-    }
-}
-
-fn cmd_bench_fleet(flags: &HashMap<String, String>, quick: bool) -> Result<(), String> {
-    use cloudsched_bench::{
-        fleet_rows_to_json, parse_fleet_rows, run_fleet_bench, FleetBenchConfig,
-    };
-    let cfg = if quick {
-        FleetBenchConfig::quick()
-    } else {
-        FleetBenchConfig::default()
+    let progress = |row: &Row| eprintln!("  {row}");
+    let rows = match suite {
+        "kernel" => {
+            let mut cfg = if quick {
+                KernelBenchConfig::quick()
+            } else {
+                KernelBenchConfig::default()
+            };
+            cfg.compare = compare;
+            run_kernel_bench(&cfg, progress)
+        }
+        "sweep" => {
+            let cfg = if quick {
+                SweepBenchConfig::quick()
+            } else {
+                SweepBenchConfig::default()
+            };
+            let outcome = run_sweep_bench(&cfg, progress);
+            eprintln!(
+                "workspace counters: runs={} reuse_hits={}",
+                outcome.metrics.counter("sweep.workspace.runs"),
+                outcome.metrics.counter("sweep.workspace.reuse_hits"),
+            );
+            outcome.rows
+        }
+        "fleet" => {
+            let cfg = if quick {
+                FleetBenchConfig::quick()
+            } else {
+                FleetBenchConfig::default()
+            };
+            run_fleet_bench(&cfg, progress)
+        }
+        other => {
+            return usage_err(
+                "--suite",
+                &format!("unknown suite `{other}` (kernel|sweep|fleet)"),
+            )
+        }
     };
     let out = flags
         .get("out")
         .cloned()
-        .unwrap_or_else(|| "BENCH_fleet.json".into());
-    eprintln!(
-        "fleet bench: lambda {}/machine, fleets {:?}, threads {:?}, {} runs/cell",
-        cfg.lambda, cfg.machines, cfg.threads, cfg.runs
-    );
-    let rows = run_fleet_bench(&cfg, |row| {
-        eprintln!(
-            "  M={:<3} threads={:<2} {:>9.2} runs/s  {:>10.3} ms  steals={:<5} digest={}",
-            row.machines, row.threads, row.runs_per_sec, row.wall_ms, row.steals, row.digest
-        );
-    });
-    let json = fleet_rows_to_json(&rows);
-    parse_fleet_rows(&json)
-        .map_err(|e| format!("generated report failed schema validation: {e}"))?;
+        .unwrap_or_else(|| format!("BENCH_{suite}.json"));
+    let json = report::to_json(&rows);
+    report::parse(&json).map_err(|e| format!("generated report failed schema validation: {e}"))?;
     std::fs::write(&out, &json).map_err(|e| format!("{out}: {e}"))?;
     eprintln!("wrote {} rows to {out}", rows.len());
     Ok(())
@@ -737,74 +752,6 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_bench_kernel(flags: &HashMap<String, String>, quick: bool) -> Result<(), String> {
-    use cloudsched_bench::{parse_rows, rows_to_json, run_kernel_bench, KernelBenchConfig};
-    let mut cfg = if quick {
-        KernelBenchConfig::quick()
-    } else {
-        KernelBenchConfig::default()
-    };
-    cfg.compare = flags.contains_key("compare");
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_kernel.json".into());
-    eprintln!(
-        "kernel bench: sizes {:?}, seed {}, {} rep(s){}",
-        cfg.sizes,
-        cfg.seed,
-        cfg.reps,
-        if cfg.compare { ", flat-vs-heap" } else { "" }
-    );
-    let rows = run_kernel_bench(&cfg, |row| {
-        eprintln!(
-            "  {:<14} n={:<7} [{:<4}] {:>10.1} ns/decision  {:>10.3} ms",
-            row.scheduler, row.n, row.queue, row.ns_per_decision, row.wall_ms
-        );
-    });
-    let json = rows_to_json(&rows);
-    parse_rows(&json).map_err(|e| format!("generated report failed schema validation: {e}"))?;
-    std::fs::write(&out, &json).map_err(|e| format!("{out}: {e}"))?;
-    eprintln!("wrote {} rows to {out}", rows.len());
-    Ok(())
-}
-
-fn cmd_bench_sweep(flags: &HashMap<String, String>, quick: bool) -> Result<(), String> {
-    use cloudsched_bench::{
-        parse_sweep_rows, run_sweep_bench, sweep_rows_to_json, SweepBenchConfig,
-    };
-    let cfg = if quick {
-        SweepBenchConfig::quick()
-    } else {
-        SweepBenchConfig::default()
-    };
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sweep.json".into());
-    eprintln!(
-        "sweep bench: lambda {}, {} runs/cell, threads {:?}",
-        cfg.lambda, cfg.runs, cfg.threads
-    );
-    let outcome = run_sweep_bench(&cfg, |row| {
-        eprintln!(
-            "  {:<5} threads={:<2} {:>9.2} runs/s  {:>10.3} ms  reuse_hits={}",
-            row.mode, row.threads, row.runs_per_sec, row.wall_ms, row.reuse_hits
-        );
-    });
-    eprintln!(
-        "workspace counters: runs={} reuse_hits={}",
-        outcome.metrics.counter("sweep.workspace.runs"),
-        outcome.metrics.counter("sweep.workspace.reuse_hits"),
-    );
-    let json = sweep_rows_to_json(&outcome.rows);
-    parse_sweep_rows(&json)
-        .map_err(|e| format!("generated report failed schema validation: {e}"))?;
-    std::fs::write(&out, &json).map_err(|e| format!("{out}: {e}"))?;
-    eprintln!("wrote {} rows to {out}", outcome.rows.len());
-    Ok(())
-}
-
 /// `cloudsched inspect`: trace analytics over one run (`cloudsched-insight`).
 ///
 /// The event stream comes from `--in FILE` (a JSONL trace written by
@@ -956,9 +903,11 @@ fn cmd_inspect_ratio(flags: &HashMap<String, String>) -> Result<(), CliError> {
 }
 
 /// `cloudsched bench-diff`: compares two benchmark reports of the same
-/// suite (`BENCH_kernel.json` or `BENCH_sweep.json`) row by row. Exits
-/// non-zero when any metric regresses beyond `--tol` percent (default 10),
-/// so report-only callers append `|| true`.
+/// suite (`BENCH_kernel.json`, `BENCH_sweep.json` or `BENCH_fleet.json`)
+/// row by row. Exits non-zero when either report fails the strict schema
+/// or any metric regresses beyond `--tol` percent (default 10), so a
+/// self-diff of a checked-in report is a schema check, and report-only
+/// callers append `|| true`.
 fn cmd_bench_diff(flags: &HashMap<String, String>) -> Result<(), CliError> {
     reject_unknown_flags(flags, &["old", "new", "tol"])?;
     let Some(old_path) = flags.get("old") else {
@@ -1241,9 +1190,11 @@ mod tests {
         let path = std::env::temp_dir().join("cloudsched-cli-test-bench.json");
         cmd_bench(&flags_of(&["--quick", "--out", path.to_str().unwrap()])).expect("bench");
         let text = std::fs::read_to_string(&path).expect("report file");
-        let rows = cloudsched_bench::parse_rows(&text).expect("schema-valid report");
+        let rows = cloudsched_bench::report::parse(&text).expect("schema-valid report");
         assert_eq!(rows.len(), 3, "EDF, Dover, V-Dover at n = 1e3");
-        assert!(rows.iter().all(|r| r.n == 1_000 && r.seed == 7));
+        assert!(rows
+            .iter()
+            .all(|r| r.suite().name == "kernel" && r.get("n") == "1000" && r.get("seed") == "7"));
         std::fs::remove_file(path).ok();
     }
 
@@ -1259,10 +1210,11 @@ mod tests {
         ]))
         .expect("sweep bench");
         let text = std::fs::read_to_string(&path).expect("report file");
-        let rows = cloudsched_bench::parse_sweep_rows(&text).expect("schema-valid report");
+        let rows = cloudsched_bench::report::parse(&text).expect("schema-valid report");
         assert_eq!(rows.len(), 4, "fresh/reuse at threads {{1, 2}}");
-        let digest = &rows[0].digest;
-        assert!(rows.iter().all(|r| &r.digest == digest));
+        assert_eq!(rows[0].suite().name, "sweep");
+        let digest = rows[0].get("digest");
+        assert!(rows.iter().all(|r| r.get("digest") == digest));
         std::fs::remove_file(path).ok();
         assert!(cmd_bench(&flags_of(&["--suite", "espresso"])).is_err());
     }
@@ -1279,12 +1231,17 @@ mod tests {
         ]))
         .expect("fleet bench");
         let text = std::fs::read_to_string(&path).expect("report file");
-        let rows = cloudsched_bench::parse_fleet_rows(&text).expect("schema-valid report");
+        let rows = cloudsched_bench::report::parse(&text).expect("schema-valid report");
         assert_eq!(rows.len(), 4, "M in {{2, 4}} x threads in {{1, 2}}");
-        for m in [2usize, 4] {
-            let group: Vec<_> = rows.iter().filter(|r| r.machines == m).collect();
+        assert_eq!(rows[0].suite().name, "fleet");
+        for m in ["2", "4"] {
+            let group: Vec<_> = rows.iter().filter(|r| r.get("machines") == m).collect();
             assert_eq!(group.len(), 2);
-            assert_eq!(group[0].digest, group[1].digest, "thread-count invariance");
+            assert_eq!(
+                group[0].get("digest"),
+                group[1].get("digest"),
+                "thread-count invariance"
+            );
         }
         std::fs::remove_file(path).ok();
     }
@@ -1305,6 +1262,25 @@ mod tests {
             cmd_bench(&flags_of(&["--suite", "espresso"])),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn bench_rejects_unknown_flags_before_running() {
+        // A typo must not run the full suite and overwrite the checked-in
+        // report: it fails as a usage error before anything is measured.
+        let path = std::env::temp_dir().join("cloudsched-cli-test-bench-bogus.json");
+        for typo in ["--bogus", "--quikc"] {
+            match cmd_bench(&flags_of(&[
+                "--quick",
+                typo,
+                "--out",
+                path.to_str().expect("utf-8 temp path"),
+            ])) {
+                Err(CliError::Usage(e)) => assert!(e.contains(&typo[2..]), "got: {e}"),
+                other => panic!("expected a usage error for {typo}, got {other:?}"),
+            }
+        }
+        assert!(!path.exists(), "nothing was written");
     }
 
     #[test]
@@ -1377,21 +1353,14 @@ mod tests {
 
     #[test]
     fn bench_diff_compares_reports_and_flags_regressions() {
-        use cloudsched_bench::{rows_to_json, KernelBenchRow};
-        let row = |ns: f64| KernelBenchRow {
-            bench: "kernel".into(),
-            n: 1000,
-            scheduler: "EDF".into(),
-            ns_per_decision: ns,
-            wall_ms: 1.0,
-            seed: 7,
-            queue: "flat".into(),
-        };
+        use cloudsched_bench::report::{to_json, KERNEL};
+        use cloudsched_bench::Row;
+        let row = |ns: f64| Row::new(&KERNEL, &[&1000, &"EDF", &ns, &1.0, &7, &"flat"]);
         let dir = std::env::temp_dir();
         let old = dir.join("cloudsched-cli-test-diff-old.json");
         let new = dir.join("cloudsched-cli-test-diff-new.json");
-        std::fs::write(&old, rows_to_json(&[row(100.0)])).expect("write old");
-        std::fs::write(&new, rows_to_json(&[row(101.0)])).expect("write new");
+        std::fs::write(&old, to_json(&[row(100.0)])).expect("write old");
+        std::fs::write(&new, to_json(&[row(101.0)])).expect("write new");
         let flags = |tol: &str| {
             flags_of(&[
                 "--old",
@@ -1403,7 +1372,7 @@ mod tests {
             ])
         };
         cmd_bench_diff(&flags("10")).expect("1% drift within 10% tolerance");
-        std::fs::write(&new, rows_to_json(&[row(200.0)])).expect("write new");
+        std::fs::write(&new, to_json(&[row(200.0)])).expect("write new");
         let err = cmd_bench_diff(&flags("10")).expect_err("100% slowdown");
         match &err {
             CliError::Runtime(e) => assert!(e.contains("regressed"), "got: {e}"),
